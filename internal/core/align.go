@@ -25,6 +25,8 @@ type Aligner struct {
 	// Config.NegativeEvidence).
 	negativePass bool
 
+	scratch []*scratch // per parallelFor worker, allocated on first use
+
 	iters []IterationStats
 }
 
@@ -82,7 +84,7 @@ func NewChecked(o1, o2 *store.Ontology, cfg Config) (*Aligner, error) {
 	if cfg.MatcherTo1 == nil {
 		cfg.MatcherTo1 = literal.IdentityMatcher{Target: o1}
 	}
-	a := &Aligner{o1: o1, o2: o2, cfg: cfg}
+	a := &Aligner{o1: o1, o2: o2, cfg: cfg, scratch: make([]*scratch, cfg.Workers)}
 	if cfg.FunMode == store.FunHarmonicMean {
 		a.fun1 = funSlice(o1)
 		a.fun2 = funSlice(o2)

@@ -86,7 +86,9 @@ type Config struct {
 	HubLimit int
 
 	// Workers is the number of goroutines used by the parallel passes.
-	// Zero means GOMAXPROCS.
+	// Zero means GOMAXPROCS. Each worker holds 8 × |ontology-2 resources|
+	// bytes of scratch for the instance pass, kept for the aligner's
+	// lifetime.
 	Workers int
 
 	// FunMode selects the global-functionality definition (Appendix A).

@@ -409,33 +409,6 @@ func TestAllEqualitiesMode(t *testing.T) {
 	}
 }
 
-// Determinism: two runs over the same inputs give identical results.
-func TestDeterminism(t *testing.T) {
-	doc1 := `
-<e:a> <e:email> "a@x.com" .
-<e:b> <e:email> "b@x.com" .
-<e:c> <e:city> "Springfield" .
-<e:d> <e:city> "Springfield" .
-`
-	doc2 := `
-<f:a> <f:mail> "a@x.com" .
-<f:b> <f:mail> "b@x.com" .
-<f:c> <f:town> "Springfield" .
-<f:d> <f:town> "Springfield" .
-`
-	o1, o2 := pair(t, doc1, doc2)
-	r1 := New(o1, o2, Config{MaxIterations: 3, Workers: 4}).Run()
-	r2 := New(o1, o2, Config{MaxIterations: 3, Workers: 1}).Run()
-	if len(r1.Instances) != len(r2.Instances) {
-		t.Fatalf("instance counts differ: %d vs %d", len(r1.Instances), len(r2.Instances))
-	}
-	for i := range r1.Instances {
-		if r1.Instances[i] != r2.Instances[i] {
-			t.Fatalf("assignment %d differs: %v vs %v", i, r1.Instances[i], r2.Instances[i])
-		}
-	}
-}
-
 // All probabilities everywhere must lie in [0, 1].
 func TestProbabilityBounds(t *testing.T) {
 	doc1 := `

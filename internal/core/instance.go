@@ -20,8 +20,8 @@ func (a *Aligner) instancePass() *eqStore {
 	next := newEqStore(a.o1.NumResources(), a.o2.NumResources())
 	insts := a.o1.Instances()
 	results := make([][]Cand, len(insts))
-	parallelFor(len(insts), a.cfg.Workers, func(i int) {
-		results[i] = a.instanceEqualities(insts[i])
+	parallelFor(len(insts), a.cfg.Workers, func(w, i int) {
+		results[i] = a.instanceEqualities(a.worker(w), insts[i])
 	})
 	for i, cands := range results {
 		next.setFwd(insts[i], cands)
@@ -30,25 +30,24 @@ func (a *Aligner) instancePass() *eqStore {
 }
 
 // instanceEqualities evaluates all equality candidates of one ontology-1
-// instance and returns those above the threshold.
-func (a *Aligner) instanceEqualities(x store.Resource) []Cand {
+// instance and returns those above the threshold. It leaves the scratch
+// accumulator reset for the next instance.
+func (a *Aligner) instanceEqualities(s *scratch, x store.Resource) []Cand {
 	edges := a.o1.Edges(x)
 	if len(edges) == 0 {
 		return nil
 	}
 	// prod[x'] = Π over statement pairs of
 	//   (1 - P(r'⊆r)·fun⁻¹(r)·P(y≡y')) · (1 - P(r⊆r')·fun⁻¹(r')·P(y≡y'))
-	prod := make(map[store.Resource]float64)
-	var eqBuf []weighted
 	for _, e := range edges {
 		r := e.Rel
 		invFunR := a.fun1[r.Inverse()]
-		eqBuf = a.equalsOf1(e.To, eqBuf[:0])
-		for _, w := range eqBuf {
-			a.expandBridge(r, invFunR, w, prod)
+		s.eqBuf = a.equalsOf1(e.To, s.eqBuf[:0])
+		for _, w := range s.eqBuf {
+			a.expandBridge(s, r, invFunR, w)
 		}
 	}
-	if len(prod) == 0 {
+	if len(s.touched) == 0 {
 		return nil
 	}
 	// Negative evidence runs in the dedicated filter pass, once the
@@ -62,23 +61,28 @@ func (a *Aligner) instanceEqualities(x store.Resource) []Cand {
 	if a.rel == nil && a.cfg.Theta*0.5 < threshold {
 		threshold = a.cfg.Theta * 0.5
 	}
-	cands := make([]Cand, 0, len(prod))
-	for x2, pr := range prod {
-		p := 1 - pr
+	s.cands = s.cands[:0]
+	for _, x2 := range s.touched {
+		p := 1 - s.prod[x2]
+		s.prod[x2] = 1
 		if useNegative {
-			p *= a.negativeEvidence(x, x2)
+			p *= a.negativeEvidence(s, x, x2)
 		}
 		if p >= threshold && p > 0 {
-			cands = append(cands, Cand{To: x2, P: p})
+			s.cands = append(s.cands, Cand{To: x2, P: p})
 		}
 	}
-	return cands
+	s.touched = s.touched[:0]
+	if len(s.cands) == 0 {
+		return nil
+	}
+	return append([]Cand(nil), s.cands...)
 }
 
 // expandBridge walks the ontology-2 statements r'(x', y') whose second
 // argument y' is equal to the current y with probability w.p, multiplying
 // the Equation (13) factor into each candidate's product.
-func (a *Aligner) expandBridge(r store.Relation, invFunR float64, w weighted, prod map[store.Resource]float64) {
+func (a *Aligner) expandBridge(s *scratch, r store.Relation, invFunR float64, w weighted) {
 	var edges2 []store.Edge
 	if w.node.IsLit() {
 		edges2 = a.o2.LitEdges(w.node.Lit())
@@ -104,11 +108,10 @@ func (a *Aligner) expandBridge(r store.Relation, invFunR float64, w weighted, pr
 		if f == 1 {
 			continue
 		}
-		if cur, ok := prod[x2]; ok {
-			prod[x2] = cur * f
-		} else {
-			prod[x2] = f
+		if s.prod[x2] == 1 {
+			s.touched = append(s.touched, x2)
 		}
+		s.prod[x2] *= f
 	}
 }
 
@@ -121,21 +124,21 @@ func (a *Aligner) expandBridge(r store.Relation, invFunR float64, w weighted, pr
 //
 // When x' has no r'-statements the inner product is one (the paper's
 // convention), penalizing instances whose counterpart lacks the relation.
-func (a *Aligner) negativeEvidence(x store.Resource, x2 store.Resource) float64 {
+func (a *Aligner) negativeEvidence(s *scratch, x store.Resource, x2 store.Resource) float64 {
 	edges2 := a.o2.Edges(x2)
 	pr2 := 1.0
-	var eqBuf []weighted
 	for _, e := range a.o1.Edges(x) {
 		r := e.Rel
 		funR := a.fun1[r]
-		eqBuf = a.equalsOf1(e.To, eqBuf[:0])
-		for _, link := range a.linkedRelations(r) {
+		s.eqBuf = a.equalsOf1(e.To, s.eqBuf[:0])
+		s.links = a.linkedRelations(r, s.links[:0])
+		for _, link := range s.links {
 			inner := 1.0
 			for _, e2 := range edges2 {
 				if e2.Rel != link.rel {
 					continue
 				}
-				inner *= 1 - pEq(e.To, e2.To, eqBuf)
+				inner *= 1 - pEq(e.To, e2.To, s.eqBuf)
 				if inner == 0 {
 					break
 				}

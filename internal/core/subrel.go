@@ -36,34 +36,19 @@ type relLink struct {
 	p21 float64        // P(rel ⊆ r1)
 }
 
-// linkedRelations returns the ontology-2 relations with a positive inclusion
-// score against r1 in either direction. During the bootstrap iteration every
-// ontology-2 relation is linked with θ.
-func (a *Aligner) linkedRelations(r1 store.Relation) []relLink {
-	if a.rel == nil {
-		out := make([]relLink, a.o2.NumRelations())
-		for i := range out {
-			out[i] = relLink{rel: store.Relation(i), p12: a.cfg.Theta, p21: a.cfg.Theta}
-		}
-		return out
-	}
-	seen := make(map[store.Relation]relLink)
-	for r2, p := range a.rel.to2[r1] {
-		seen[r2] = relLink{rel: r2, p12: p}
-	}
-	for r2 := range a.rel.to1 {
-		if p := a.rel.to1[r2][r1]; p > 0 {
-			l := seen[store.Relation(r2)]
-			l.rel = store.Relation(r2)
-			l.p21 = p
-			seen[store.Relation(r2)] = l
+// linkedRelations appends to buf the ontology-2 relations with a positive
+// inclusion score against r1 in either direction, in relation ID order so
+// that Equation (14) multiplies its factors in the same order on every run.
+// During the bootstrap iteration every ontology-2 relation is linked with θ.
+func (a *Aligner) linkedRelations(r1 store.Relation, buf []relLink) []relLink {
+	for i := 0; i < a.o2.NumRelations(); i++ {
+		r2 := store.Relation(i)
+		l := relLink{rel: r2, p12: a.p12(r1, r2), p21: a.p21(r2, r1)}
+		if l.p12 > 0 || l.p21 > 0 {
+			buf = append(buf, l)
 		}
 	}
-	out := make([]relLink, 0, len(seen))
-	for _, l := range seen {
-		out = append(out, l)
-	}
-	return out
+	return buf
 }
 
 // subRelationPass evaluates Equation (12) in both directions:
@@ -95,15 +80,18 @@ func (a *Aligner) subRelDirection(
 ) {
 	nBase := src.NumRelations() / 2
 	rows := make([][2]map[store.Relation]float64, nBase)
-	parallelFor(nBase, a.cfg.Workers, func(i int) {
-		base := store.Relation(2 * i)
-		num, den := a.subRelRow(src, dst, base, equals)
+	parallelFor(nBase, a.cfg.Workers, func(w, i int) {
+		s := a.worker(w)
+		num := s.num[:dst.NumRelations()]
+		den := a.subRelRow(s, src, dst, store.Relation(2*i), equals)
 		if den == 0 {
+			clear(num)
 			return
 		}
 		direct := make(map[store.Relation]float64)
 		inverse := make(map[store.Relation]float64)
-		for r2, v := range num {
+		for k, v := range num {
+			num[k] = 0
 			p := v / den
 			if p < a.cfg.Truncation || p == 0 {
 				continue
@@ -111,6 +99,7 @@ func (a *Aligner) subRelDirection(
 			if p > 1 {
 				p = 1
 			}
+			r2 := store.Relation(k)
 			direct[r2] = p
 			inverse[r2.Inverse()] = p
 		}
@@ -124,57 +113,58 @@ func (a *Aligner) subRelDirection(
 	}
 }
 
-// subRelRow accumulates the numerator per destination relation and the
-// shared denominator for one base relation of src.
+// subRelRow accumulates into s.num the numerator per destination relation
+// and returns the shared denominator for one base relation of src. Each
+// numerator sums its statements in statement order, and each per-statement
+// product multiplies its factors in traversal order.
 func (a *Aligner) subRelRow(
+	s *scratch,
 	src, dst *store.Ontology,
 	r store.Relation,
 	equals func(store.Node, []weighted) []weighted,
-) (map[store.Relation]float64, float64) {
-	num := make(map[store.Relation]float64)
+) float64 {
 	den := 0.0
 	count := 0
-	var xBuf, yBuf []weighted
-	perStmt := make(map[store.Relation]float64)
-	src.EachStatement(r, func(s, o store.Node) bool {
+	src.EachStatement(r, func(x, y store.Node) bool {
 		count++
 		if count > a.cfg.PairLimit {
 			return false
 		}
-		xBuf = equals(s, xBuf[:0])
-		if len(xBuf) == 0 {
+		s.xBuf = equals(x, s.xBuf[:0])
+		if len(s.xBuf) == 0 {
 			return true
 		}
-		yBuf = equals(o, yBuf[:0])
-		if len(yBuf) == 0 {
+		s.yBuf = equals(y, s.yBuf[:0])
+		if len(s.yBuf) == 0 {
 			return true
 		}
 		// Denominator term: 1 - Π over all equal pairs (x', y').
 		denProd := 1.0
-		for k := range perStmt {
-			delete(perStmt, k)
-		}
-		for _, wx := range xBuf {
-			for _, wy := range yBuf {
+		for _, wx := range s.xBuf {
+			for _, wy := range s.yBuf {
 				pp := wx.p * wy.p
 				denProd *= 1 - pp
 				// Numerator: which dst relations connect x' to y'?
 				forEachConnecting(dst, wx.node, wy.node, func(r2 store.Relation) {
-					if cur, ok := perStmt[r2]; ok {
-						perStmt[r2] = cur * (1 - pp)
+					if s.inStmt[r2] {
+						s.perStmt[r2] *= 1 - pp
 					} else {
-						perStmt[r2] = 1 - pp
+						s.inStmt[r2] = true
+						s.perStmt[r2] = 1 - pp
+						s.stmtRels = append(s.stmtRels, r2)
 					}
 				})
 			}
 		}
 		den += 1 - denProd
-		for r2, prod := range perStmt {
-			num[r2] += 1 - prod
+		for _, r2 := range s.stmtRels {
+			s.num[r2] += 1 - s.perStmt[r2]
+			s.inStmt[r2] = false
 		}
+		s.stmtRels = s.stmtRels[:0]
 		return true
 	})
-	return num, den
+	return den
 }
 
 // forEachConnecting calls fn(r2) for every dst relation r2 with r2(x, y).

@@ -238,3 +238,30 @@ func TestWriteFilesRoundTrip(t *testing.T) {
 		t.Fatalf("gold.tsv lines = %d, want %d", lines, d.Gold.Len())
 	}
 }
+
+// Sixteen times the default works exceed the 20,520 random world titles;
+// generation must still terminate, and every title must stay unique.
+func TestWorldTitlesPastSaturation(t *testing.T) {
+	cfg := WorldConfig{Seed: 42, Movies: 16 * 1500, Albums: 16 * 1200, Books: 16 * 1200}.withDefaults()
+	w := &worldBuilder{cfg: cfg, r: newRNG(cfg.Seed)}
+	w.invent()
+	seen := make(map[string]bool, len(w.works))
+	for _, wk := range w.works {
+		if seen[wk.title] {
+			t.Fatalf("duplicate title %q", wk.title)
+		}
+		seen[wk.title] = true
+	}
+	if want := cfg.Movies + cfg.Albums + cfg.Books; len(seen) != want {
+		t.Fatalf("%d titles, want %d", len(seen), want)
+	}
+}
+
+// Sixteen times the default movies exceed the 22,800 random movie titles;
+// generation must still terminate.
+func TestMoviesTitlesPastSaturation(t *testing.T) {
+	d := Movies(MoviesConfig{People: 400, Movies: 16 * 1500, Seed: 42})
+	if len(d.Triples1) == 0 || len(d.Triples2) == 0 {
+		t.Fatal("empty corpus")
+	}
+}

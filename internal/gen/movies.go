@@ -129,11 +129,15 @@ func Movies(cfg MoviesConfig) *Dataset {
 		}
 		return pool[r.Intn(working)]
 	}
+	// The random titles run out at 2·|words|·|nouns| bases with nine
+	// sequel numbers each; past that point a running number, beyond any
+	// sequel number, keeps the titles unique.
 	titleUsed := map[string]bool{}
+	maxTitles := 2 * len(movieWords) * len(movieNouns) * 10
 	works := make([]movieWork, cfg.Movies)
 	for i := range works {
 		var title string
-		for {
+		for len(titleUsed) < maxTitles {
 			title = r.pick(movieWords) + " " + r.pick(movieNouns)
 			if r.chance(0.4) {
 				title = "The " + title
@@ -145,6 +149,9 @@ func Movies(cfg MoviesConfig) *Dataset {
 			if !titleUsed[title] {
 				break
 			}
+		}
+		if len(titleUsed) >= maxTitles {
+			title = fmt.Sprintf("%s %s %d", r.pick(movieWords), r.pick(movieNouns), len(titleUsed))
 		}
 		titleUsed[title] = true
 		wk := movieWork{

@@ -175,8 +175,17 @@ func (w *worldBuilder) invent() {
 		}
 	}
 	// Works.
+	// The random titles run out at 2·|words|·|nouns| bases with eight
+	// sequel numbers each; past that point a running number, beyond any
+	// sequel number, keeps the titles unique.
 	titleUsed := map[string]bool{}
+	maxTitles := 2 * len(movieWords) * len(movieNouns) * 9
 	mkTitle := func() string {
+		if len(titleUsed) >= maxTitles {
+			t := fmt.Sprintf("%s %s %d", r.pick(movieWords), r.pick(movieNouns), len(titleUsed))
+			titleUsed[t] = true
+			return t
+		}
 		for {
 			t := "The " + r.pick(movieWords) + " " + r.pick(movieNouns)
 			if r.chance(0.3) {
